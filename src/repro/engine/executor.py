@@ -49,6 +49,8 @@ import sys
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import product
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
 from repro.core.annotate import pipe_join_selectivity
@@ -58,7 +60,7 @@ from repro.joins.wcoj import KNOWN_JOIN_KERNELS
 from repro.engine.retry import NO_RETRY, Degradation, Retrier, RetryPolicy
 from repro.errors import ExecutionError, RetryExhaustedError
 from repro.joins.spec import CompletionStrategy
-from repro.model.tuples import CompositeTuple, RankingFunction
+from repro.model.tuples import CompositeTuple, RankingFunction, ServiceTuple
 from repro.obs.tracer import NullTracer, Tracer, coerce_tracer
 from repro.plans.nodes import (
     InputNode,
@@ -68,10 +70,10 @@ from repro.plans.nodes import (
     ServiceNode,
 )
 from repro.plans.plan import QueryPlan
-from repro.query.ast import Comparator, JoinPredicate, SelectionPredicate
+from repro.query.ast import AttrRef, Comparator, JoinPredicate, SelectionPredicate
 from repro.query.compile import CompiledQuery
 from repro.query.feasibility import ProviderKind
-from repro.query.predicates import satisfies, tuple_satisfies_selections
+from repro.query.predicates import compile_predicates, satisfies
 from repro.stats.estimate import Estimator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -97,6 +99,24 @@ _SPAN_KINDS = {
     "ParallelJoinNode": "join",
     "OutputNode": "output",
 }
+
+
+#: A join row's distinct hash keys (see ``PlanExecutor._equi_join_keys``).
+_RowKeys = Callable[[CompositeTuple], tuple]
+
+
+def _ref_values(tup: ServiceTuple, ref: AttrRef) -> tuple:
+    """Candidate values of ``ref`` in one component: the attribute's value,
+    or the distinct values of a repeating group's members.
+
+    A missing group raises ``KeyError`` (the caller falls back to the
+    nested loop, where :func:`satisfies` reports it).
+    """
+    name = ref.path.name
+    if not ref.path.is_nested:
+        return (tup.values.get(name),)
+    members = tup.values[ref.path.group]
+    return tuple(dict.fromkeys(dict(member).get(name) for member in members))
 
 
 def _value_key(value: Any) -> tuple:
@@ -406,6 +426,9 @@ class PlanExecutor:
         )
         self.cache_stats = InvocationCacheStats()
         self._pairs_probed = 0
+        # id(selections), id(joins) -> (selections, joins, compiled check);
+        # holding the sequences keeps their ids from being reused.
+        self._compiled: dict[tuple[int, int], tuple[Any, Any, Callable]] = {}
         self._estimator = Estimator(query)
         if join_kernel not in KNOWN_JOIN_KERNELS:
             raise ExecutionError(
@@ -528,13 +551,8 @@ class PlanExecutor:
             return result, len(upstream), 0
         if isinstance(node, SelectionNode):
             upstream = outputs[parents[0]]
-            result = [
-                comp
-                for comp in upstream
-                if self._satisfies_evaluable(
-                    comp, node.selections, node.join_filters
-                )
-            ]
+            check = self._predicate_check(node.selections, node.join_filters)
+            result = [comp for comp in upstream if check(comp)]
             return result, len(upstream), 0
         if isinstance(node, ParallelJoinNode):
             left = outputs[parents[0]]
@@ -637,10 +655,9 @@ class PlanExecutor:
             out.append(composite)
             return
         alias = node.alias
+        check = self._predicate_check(selections, ()) if selections else None
         for tup in tuples:
-            if selections and not tuple_satisfies_selections(
-                tup, alias, selections, self.inputs
-            ):
+            if check is not None and not check({alias: tup}):
                 continue
             components = dict(composite.components)
             components[alias] = tup
@@ -813,6 +830,7 @@ class PlanExecutor:
     ) -> tuple[list[CompositeTuple], int]:
         out: list[CompositeTuple] = []
         pair_count = 0
+        check = self._predicate_check((), node.predicates)
         for i, lc in enumerate(left):
             for j, rc in enumerate(right):
                 if triangular and (i / n_left + j / n_right) >= 1.0:
@@ -825,9 +843,7 @@ class PlanExecutor:
                     continue
                 components = dict(lc.components)
                 components.update(rc.components)
-                if node.predicates and not self._satisfies_evaluable(
-                    components, (), node.predicates
-                ):
+                if node.predicates and not check(components):
                     continue
                 score = self.query.ranking.score_composite(components)
                 out.append(CompositeTuple(components, score))
@@ -839,24 +855,25 @@ class PlanExecutor:
         node: ParallelJoinNode,
         left: list[CompositeTuple],
         right: list[CompositeTuple],
-    ) -> (
-        tuple[
-            Callable[[CompositeTuple], tuple],
-            Callable[[CompositeTuple], tuple],
-        ]
-        | None
-    ):
-        """Key extractors when this join is hash-indexable, else ``None``.
+    ) -> tuple[_RowKeys, _RowKeys] | None:
+        """Key-set extractors when this join is hash-indexable, else ``None``.
 
-        Eligibility: every predicate is a non-nested EQ with one side per
-        branch, both branches expose uniform component sets, and no branch
-        is degraded (a missing component would make keys non-uniform).
-        The key bundles the shared-alias components (shared-alias
-        agreement is equality, so equal keys subsume the agreement check)
-        with the EQ attribute values from the composite's own side.  EQ
-        compares with plain ``==`` and key equality over-approximates the
-        predicate set (``None == None`` collides though SQL nulls never
-        match), so the predicate stays authoritative on probed pairs.
+        Eligibility: every predicate is an EQ with one side per branch,
+        both branches expose uniform component sets, and no branch is
+        degraded (a missing component would make keys non-uniform).  A
+        key bundles the shared-alias components (shared-alias agreement
+        is equality, so equal keys subsume the agreement check) with the
+        EQ attribute values from the composite's own side.  A flat
+        attribute has one value; a repeating-group sub-attribute has the
+        distinct values of its members, any of which may be the joint
+        witness.  A row's keys are every combination of its values
+        (witness-expanded keys): one for a flat join, none when a group is
+        empty (:func:`satisfies` rejects such rows too).  A pair that
+        satisfies the predicates shares a key, but not every pair that
+        shares a key satisfies them (``None == None`` collides though SQL
+        nulls never match, and two references into one group need the
+        same member), so the predicate stays authoritative on probed
+        pairs.
         """
         if self.failed_aliases or not left or not right or not node.predicates:
             return None
@@ -872,8 +889,6 @@ class PlanExecutor:
         for pred in node.predicates:
             if pred.comparator is not Comparator.EQ:
                 return None
-            if pred.left.path.is_nested or pred.right.path.is_nested:
-                return None
             if pred.left.alias in left_aliases and pred.right.alias in right_aliases:
                 lref, rref = pred.left, pred.right
             elif pred.right.alias in left_aliases and pred.left.alias in right_aliases:
@@ -883,20 +898,16 @@ class PlanExecutor:
             left_refs.append(lref)
             right_refs.append(rref)
 
-        def make_key(refs):
-            def key(comp: CompositeTuple) -> tuple:
+        def make_keys(refs):
+            def keys(comp: CompositeTuple) -> tuple:
                 components = comp.components
-                return (
-                    tuple(components[a] for a in shared),
-                    tuple(
-                        components[ref.alias].values.get(ref.path.name)
-                        for ref in refs
-                    ),
-                )
+                own = tuple(components[a] for a in shared)
+                choices = [_ref_values(components[ref.alias], ref) for ref in refs]
+                return tuple(dict.fromkeys((own, vals) for vals in product(*choices)))
 
-            return key
+            return keys
 
-        return make_key(left_refs), make_key(right_refs)
+        return make_keys(left_refs), make_keys(right_refs)
 
     @staticmethod
     def _triangular_cutoff(i: int, n_left: int, n_right: int, limit: int) -> int:
@@ -924,22 +935,34 @@ class PlanExecutor:
         triangular: bool,
         n_left: int,
         n_right: int,
-        left_key: Callable[[CompositeTuple], tuple],
-        right_key: Callable[[CompositeTuple], tuple],
+        left_keys: _RowKeys,
+        right_keys: _RowKeys,
     ) -> tuple[list[CompositeTuple], int] | None:
-        """Hash-indexed assembly; ``None`` when a key is unhashable.
+        """Hash-indexed assembly; ``None`` when a key is unhashable or a
+        repeating group is missing (the nested loop then raises as
+        :func:`satisfies` does).
 
-        Probing rows in order against buckets kept in ``j`` order emits
-        matches in the nested loop's (i, j) order, so the final stable
-        sort reproduces its output exactly.  ``pair_count`` keeps the
-        nested loop's logical meaning (tile area inside the completion
-        region), independent of how many pairs were actually probed.
+        A right row sits once in the bucket of each of its keys, so every
+        bucket is in ascending ``j``; a left row probes the union of its
+        keys' buckets in ascending ``j``.  That emits matches in the
+        nested loop's (i, j) order, so the final stable sort reproduces
+        its output exactly.  ``pair_count`` keeps the nested loop's
+        logical meaning (tile area inside the completion region),
+        independent of how many pairs were actually probed.
         """
         try:
-            index: dict[tuple, list[tuple[int, CompositeTuple]]] = {}
+            index: dict[tuple, list[int]] = {}
             for j, rc in enumerate(right):
-                index.setdefault(right_key(rc), []).append((j, rc))
-            probes = [(i, index.get(left_key(lc))) for i, lc in enumerate(left)]
+                for key in right_keys(rc):
+                    index.setdefault(key, []).append(j)
+            probes = []
+            for lc in left:
+                buckets = [b for b in map(index.get, left_keys(lc)) if b]
+                probes.append(
+                    buckets[0]
+                    if len(buckets) == 1
+                    else sorted(set().union(*buckets))
+                )
         except (TypeError, KeyError):
             return None
         probes_before = self._pairs_probed
@@ -955,25 +978,25 @@ class PlanExecutor:
         )
         out: list[CompositeTuple] = []
         pair_count = 0
-        for i, bucket in probes:
+        check = self._predicate_check((), node.predicates)
+        for i, rows in enumerate(probes):
             cutoff = (
                 self._triangular_cutoff(i, n_left, n_right, len(right))
                 if triangular
                 else len(right)
             )
             pair_count += cutoff
-            if not bucket:
+            if not rows:
                 continue
             lc = left[i]
-            for j, rc in bucket:
+            for j in rows:
                 if j >= cutoff:
                     break
+                rc = right[j]
                 self._pairs_probed += 1
                 components = dict(lc.components)
                 components.update(rc.components)
-                if node.predicates and not self._satisfies_evaluable(
-                    components, (), node.predicates
-                ):
+                if node.predicates and not check(components):
                     continue
                 score = self.query.ranking.score_composite(components)
                 out.append(CompositeTuple(components, score))
@@ -1019,10 +1042,12 @@ class PlanExecutor:
         triangular: bool,
         n_left: int,
         n_right: int,
-        left_key: Callable[[CompositeTuple], tuple],
-        right_key: Callable[[CompositeTuple], tuple],
+        left_keys: _RowKeys,
+        right_keys: _RowKeys,
     ) -> tuple[list[CompositeTuple], int] | None:
-        """Leapfrog (wcoj) assembly; ``None`` when a key is unhashable.
+        """Leapfrog (wcoj) assembly; ``None`` when a key is unhashable, a
+        repeating group is missing, or a row has more than one key (the
+        hash kernel takes witness-expanded rows).
 
         The multi-predicate key vector is dictionary-encoded (each
         distinct vector gets a dense id, a standard LFTJ ingredient —
@@ -1040,12 +1065,19 @@ class PlanExecutor:
             ids: dict[tuple, int] = {}
             buckets: dict[int, list[tuple[int, CompositeTuple]]] = {}
             for j, rc in enumerate(right):
-                kid = ids.setdefault(right_key(rc), len(ids))
-                buckets.setdefault(kid, []).append((j, rc))
+                keys = right_keys(rc)
+                if len(keys) > 1:
+                    return None
+                for key in keys:
+                    kid = ids.setdefault(key, len(ids))
+                    buckets.setdefault(kid, []).append((j, rc))
             left_rows: list[tuple[int, int | None]] = []
             left_id_set: set[int] = set()
             for i, lc in enumerate(left):
-                kid = ids.get(left_key(lc))
+                keys = left_keys(lc)
+                if len(keys) > 1:
+                    return None
+                kid = ids.get(keys[0]) if keys else None
                 left_rows.append((i, kid))
                 if kid is not None:
                     left_id_set.add(kid)
@@ -1067,6 +1099,7 @@ class PlanExecutor:
         )
         out: list[CompositeTuple] = []
         pair_count = 0
+        check = self._predicate_check((), node.predicates)
         for i, kid in left_rows:
             cutoff = (
                 self._triangular_cutoff(i, n_left, n_right, len(right))
@@ -1083,9 +1116,7 @@ class PlanExecutor:
                 self._pairs_probed += 1
                 components = dict(lc.components)
                 components.update(rc.components)
-                if node.predicates and not self._satisfies_evaluable(
-                    components, (), node.predicates
-                ):
+                if node.predicates and not check(components):
                     continue
                 score = self.query.ranking.score_composite(components)
                 out.append(CompositeTuple(components, score))
@@ -1099,19 +1130,53 @@ class PlanExecutor:
             span.__exit__(None, None, None)
         return out, pair_count
 
+    def _predicate_check(
+        self,
+        selections: Sequence[SelectionPredicate],
+        joins: Sequence[JoinPredicate],
+    ) -> Callable[[CompositeTuple | Mapping[str, Any]], bool]:
+        """Joint-witness check of one predicate set, restricted to
+        evaluable predicates.
+
+        With no failed alias every composite is complete, and the check is
+        :func:`compile_predicates`'s closure — exactly :func:`satisfies`
+        — compiled once per execution per predicate set.  The sequences
+        are node, query, or per-node-run attributes, so their identity is
+        the key.  Under partial degradation the reference
+        :meth:`_satisfies_present` is returned instead.
+        """
+        if self.failed_aliases:
+            return partial(
+                self._satisfies_present, selections=selections, joins=joins
+            )
+        key = (id(selections), id(joins))
+        entry = self._compiled.get(key)
+        if entry is None:
+            check = compile_predicates(selections, joins, self.inputs)
+            entry = self._compiled[key] = (selections, joins, check)
+        return entry[2]
+
     def _satisfies_evaluable(
         self,
         composite: CompositeTuple | Mapping[str, Any],
         selections: Sequence[SelectionPredicate],
         joins: Sequence[JoinPredicate],
     ) -> bool:
-        """Joint-witness check restricted to evaluable predicates.
+        """One composite through :meth:`_predicate_check`."""
+        return self._predicate_check(selections, joins)(composite)
 
-        On a complete composite this is exactly :func:`satisfies`.  Under
-        partial degradation a composite may be missing failed aliases'
-        components; predicates over an absent alias are not evaluable and
-        are skipped — the surviving combination is best-effort by
-        construction and flagged via ``failed_aliases``.
+    def _satisfies_present(
+        self,
+        composite: CompositeTuple | Mapping[str, Any],
+        selections: Sequence[SelectionPredicate],
+        joins: Sequence[JoinPredicate],
+    ) -> bool:
+        """:func:`satisfies` over the predicates whose aliases are present.
+
+        Under partial degradation a composite may be missing failed
+        aliases' components; predicates over an absent alias are not
+        evaluable and are skipped — the surviving combination is
+        best-effort by construction and flagged via ``failed_aliases``.
         """
         components = (
             composite.components
@@ -1133,13 +1198,8 @@ class PlanExecutor:
     def _finalise(self, upstream: list[CompositeTuple]) -> list[CompositeTuple]:
         result = upstream
         if self.final_semantic_check:
-            result = [
-                comp
-                for comp in result
-                if self._satisfies_evaluable(
-                    comp, self.query.selections, self.query.joins
-                )
-            ]
+            check = self._predicate_check(self.query.selections, self.query.joins)
+            result = [comp for comp in result if check(comp)]
         result = sorted(result, key=lambda c: -c.score)
         if self.k is not None:
             result = result[: self.k]

@@ -23,6 +23,10 @@ from repro.model.attributes import AttributePath
 __all__ = ["ServiceTuple", "CompositeTuple", "RankingFunction", "freeze_value"]
 
 
+_ATOMIC_TYPES = frozenset((str, int, float, bool, type(None)))
+_SEQUENCE_TYPES = frozenset((list, tuple))
+
+
 def freeze_value(value: Any) -> Any:
     """Return a hashable version of a tuple value.
 
@@ -30,9 +34,14 @@ def freeze_value(value: Any) -> Any:
     into nested tuples so that :class:`ServiceTuple` instances can be hashed
     and deduplicated.
     """
-    if isinstance(value, Mapping):
+    # Concrete types first: the ABC check below costs a typing
+    # ``__instancecheck__`` per value, and these cover nearly every value.
+    kind = type(value)
+    if kind in _ATOMIC_TYPES:
+        return value
+    if kind is dict or (kind not in _SEQUENCE_TYPES and isinstance(value, Mapping)):
         return tuple(sorted((k, freeze_value(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple, set)):
+    if kind in _SEQUENCE_TYPES or isinstance(value, (list, tuple, set)):
         return tuple(freeze_value(v) for v in value)
     return value
 

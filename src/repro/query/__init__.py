@@ -35,6 +35,7 @@ from repro.query.feasibility import (
 )
 from repro.query.parser import parse_query
 from repro.query.predicates import (
+    compile_predicates,
     filter_tuples,
     group_occurrences,
     satisfies,
@@ -65,6 +66,7 @@ __all__ = [
     "input_providers",
     "require_feasible",
     "parse_query",
+    "compile_predicates",
     "filter_tuples",
     "group_occurrences",
     "satisfies",

@@ -29,7 +29,16 @@ __all__ = [
     "ConnectionAtom",
     "ServiceAtom",
     "Query",
+    "like_regex",
 ]
+
+
+def like_regex(pattern: Any) -> "re.Pattern[str]":
+    """Case-insensitive regex of a SQL LIKE pattern (``%`` any run, ``_``
+    any character); match it with ``fullmatch``."""
+    text = re.escape(str(pattern))
+    text = text.replace(re.escape("%"), ".*").replace(re.escape("_"), ".")
+    return re.compile(text, re.IGNORECASE)
 
 
 class Comparator(Enum):
@@ -54,11 +63,7 @@ class Comparator(Enum):
         if self is Comparator.EQ:
             return left == right
         if self is Comparator.LIKE:
-            pattern = re.escape(str(right))
-            pattern = pattern.replace(re.escape("%"), ".*").replace(
-                re.escape("_"), "."
-            )
-            return re.fullmatch(pattern, str(left), re.IGNORECASE) is not None
+            return like_regex(right).fullmatch(str(left)) is not None
         try:
             if self is Comparator.LT:
                 return left < right

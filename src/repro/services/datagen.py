@@ -130,6 +130,16 @@ class TupleGenerator:
         # unsatisfiable constraints from looping).
         attempts = 0
         max_attempts = max(20, total * 20)
+        passes = None
+        if constraints:
+            # Local import: the query layer depends on the model layer
+            # only, so importing it here (rather than at module top) keeps
+            # the services package importable from the query tests
+            # without a cycle.
+            from repro.query.predicates import compile_predicates
+
+            alias = constraints[0].attr.alias
+            passes = compile_predicates(list(constraints))
         while len(results) < total and attempts < max_attempts:
             attempts += 1
             position = len(results)
@@ -140,22 +150,10 @@ class TupleGenerator:
                 source=self.interface.name,
                 position=position,
             )
-            if constraints and not self._passes(candidate, constraints):
+            if passes is not None and not passes({alias: candidate}):
                 continue
             results.append(candidate)
         return results
-
-    @staticmethod
-    def _passes(
-        candidate: ServiceTuple, constraints: "Sequence[SelectionPredicate]"
-    ) -> bool:
-        # Local import: the query layer depends on the model layer only, so
-        # importing it here (rather than at module top) keeps the services
-        # package importable from the query tests without a cycle.
-        from repro.query.predicates import satisfies
-
-        alias = constraints[0].attr.alias
-        return satisfies({alias: candidate}, selections=list(constraints))
 
     def _tuple_values(
         self, inputs: Mapping[str, Any], rng: random.Random

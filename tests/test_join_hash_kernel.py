@@ -9,14 +9,19 @@ memo, and the memoized ranking-order validation of ``ListChunkSource``.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.executor import PlanExecutor
 from repro.errors import ExecutionError
 from repro.joins.completion import RectangularCompletion, TriangularCompletion
 from repro.joins.methods import ListChunkSource, ParallelJoinExecutor
+from repro.joins.spec import CompletionStrategy, JoinMethodSpec
 from repro.joins.strategies import MergeScanSchedule, NestedLoopSchedule
 from repro.model.scoring import LinearScoring
-from repro.model.tuples import ServiceTuple
+from repro.model.tuples import CompositeTuple, ServiceTuple
+from repro.plans.nodes import ParallelJoinNode
+from repro.query.ast import AttrRef, Comparator, JoinPredicate
 from repro.services.marts import CONFERENCE_INPUTS, RUNNING_EXAMPLE_INPUTS
 from repro.services.simulated import ServicePool
 
@@ -226,3 +231,161 @@ def test_invocation_cache_size_must_be_positive(movie_query, movie_registry):
             best.fetch_vector(),
             invocation_cache_size=0,
         )
+
+
+# -- witness-expanded keys: equi-joins over repeating-group members -----------
+
+TITLES = st.sampled_from(["t0", "t1", "t2", None])
+MEMBERS = st.lists(
+    st.fixed_dictionaries({"Title": TITLES, "Year": st.sampled_from([1, 2])}),
+    max_size=4,
+)
+ROWS = st.lists(st.tuples(TITLES, MEMBERS, st.sampled_from([0, 1])), max_size=8)
+
+
+def group_join_rows(left_rows, right_rows):
+    """Left rows {M, R}, right rows {T, R}, from (title, members, place).
+
+    ``M`` carries a flat ``Title`` and a group ``Alt``; ``T`` a group
+    ``Movie``.  ``R`` is a shared alias (one of two places).  Scores take
+    two values, so the final sort leaves many ties in emission order.
+    """
+    places = [
+        ServiceTuple({"Name": name}, score=0.5, source="Restaurant1")
+        for name in ("r0", "r1")
+    ]
+    left = [
+        CompositeTuple(
+            {
+                "M": ServiceTuple(
+                    {"Title": title, "Year": 1 + i % 2, "Alt": members},
+                    score=1.0 - i % 2 / 2,
+                    source="Movie1",
+                    position=i,
+                ),
+                "R": places[place],
+            },
+            0.0,
+        )
+        for i, (title, members, place) in enumerate(left_rows)
+    ]
+    right = [
+        CompositeTuple(
+            {
+                "T": ServiceTuple(
+                    {"Movie": members},
+                    score=1.0 - j % 2 / 2,
+                    source="Theatre1",
+                    position=j,
+                ),
+                "R": places[place],
+            },
+            0.0,
+        )
+        for j, (_, members, place) in enumerate(right_rows)
+    ]
+    return left, right
+
+
+GROUP_JOINS = {
+    "title": ("M.Title", "T.Movie.Title"),
+    "title_reversed": ("T.Movie.Title", "M.Title"),
+    "title_and_year": ("M.Title", "T.Movie.Title", "T.Movie.Year", "M.Year"),
+    "groups_both_sides": ("M.Alt.Title", "T.Movie.Title"),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    left_rows=ROWS,
+    right_rows=ROWS,
+    completion=st.sampled_from(list(CompletionStrategy)),
+    predicates=st.sampled_from(sorted(GROUP_JOINS)),
+    kernel=st.sampled_from(["binary", "wcoj"]),
+    swap=st.booleans(),
+)
+def test_witness_expanded_hash_join_matches_nested_loop(
+    movie_query, movie_registry, left_rows, right_rows, completion, predicates,
+    kernel, swap,
+):
+    refs = [AttrRef.parse(text) for text in GROUP_JOINS[predicates]]
+    node = ParallelJoinNode(
+        "join",
+        predicates=tuple(
+            JoinPredicate(refs[i], Comparator.EQ, refs[i + 1])
+            for i in range(0, len(refs), 2)
+        ),
+        method=JoinMethodSpec(completion=completion),
+    )
+    left, right = group_join_rows(left_rows, right_rows)
+    if swap:
+        left, right = right, left
+
+    def run(nested):
+        executor = movie_executor(movie_query, movie_registry, kernel)
+        if nested:
+            executor._equi_join_keys = lambda *a: None
+        out, pair_count = executor._run_parallel_join(node, left, right)
+        rows = [(c.score, sorted(c.components.items())) for c in out]
+        return rows, pair_count, executor._pairs_probed
+
+    indexed, nested = run(False), run(True)
+    assert indexed[:2] == nested[:2]
+    assert indexed[2] <= nested[2]
+
+
+_MOVIE_PLANS = {}
+
+
+def movie_executor(movie_query, movie_registry, kernel):
+    """An executor to call the join kernels on; its plan is optimized once."""
+    from repro.core.optimizer import Optimizer, OptimizerConfig
+
+    if id(movie_query) not in _MOVIE_PLANS:
+        best = Optimizer(movie_query, OptimizerConfig()).optimize().best
+        # Holding the query keeps its id from being reused.
+        _MOVIE_PLANS[id(movie_query)] = (movie_query, best)
+    _, best = _MOVIE_PLANS[id(movie_query)]
+    return PlanExecutor(
+        best.plan,
+        movie_query,
+        ServicePool(movie_registry, global_seed=5),
+        dict(RUNNING_EXAMPLE_INPUTS),
+        best.fetch_vector(),
+        join_kernel=kernel,
+    )
+
+
+def test_group_join_is_indexed_and_probes_less(movie_query, movie_registry):
+    # Duplicate member titles, a None title, and an empty group.
+    movies = [
+        ({"Title": "t1"}, {"Title": "t1"}, {"Title": "t2"}),
+        (),
+        ({"Title": None},),
+        ({"Title": "t0"}, {"Title": "t2"}),
+    ]
+    left, right = group_join_rows(
+        [(title, (), 0) for title in ("t2", "t1", None, "t0")],
+        [(None, members, 0) for members in movies],
+    )
+    node = ParallelJoinNode(
+        "join",
+        predicates=(
+            JoinPredicate(
+                AttrRef.parse("M.Title"), Comparator.EQ, AttrRef.parse("T.Movie.Title")
+            ),
+        ),
+        method=JoinMethodSpec(completion=CompletionStrategy.RECTANGULAR),
+    )
+    executor = movie_executor(movie_query, movie_registry, "binary")
+    keys = executor._equi_join_keys(node, left, right)
+    assert keys is not None
+    _, right_keys = keys
+    assert [len(right_keys(row)) for row in right] == [2, 0, 1, 2]
+    out, pair_count = executor._run_parallel_join(node, left, right)
+    # Matches: t2 with rows 0 and 3, t1 with row 0, t0 with row 3.  The
+    # fifth probe is None against row 2's None key, which the predicate
+    # rejects (SQL nulls never match); the empty group is never probed.
+    assert len(out) == 4
+    assert pair_count == 16
+    assert executor._pairs_probed == 5

@@ -7,6 +7,7 @@ results.
 """
 
 import argparse
+import dataclasses
 import os
 
 import pytest
@@ -20,6 +21,8 @@ from repro.core.optimizer import (
 from repro.engine.executor import PlanExecutor
 from repro.errors import OptimizationError
 from repro.obs.tracer import Tracer
+from repro.plans.nodes import ParallelJoinNode
+from repro.query.ast import Comparator
 from repro.serve.bench import serve_workload
 from repro.serve.plancache import PlanCache
 from repro.services.marts import CONFERENCE_INPUTS, RUNNING_EXAMPLE_INPUTS
@@ -81,17 +84,54 @@ def test_wcoj_dispatch_emits_leapfrog_spans(
         if span.name == "join.probe"
     }
     assert "leapfrog" in kernels
-    # The movie plan's proximity join has no equi-keys: even under wcoj
-    # it falls back to the nested-loop probe rather than mis-dispatching.
-    fallback = Tracer()
-    run_kernel(
-        movie_query, movie_registry, RUNNING_EXAMPLE_INPUTS, "wcoj", fallback
-    )
-    assert {
+    # The movie plan's join is Shows(M, T): M.Title = T.Movie.Title, an
+    # equality with a repeating-group member on one side.  Its rows get
+    # witness-expanded keys, so it is indexed (leapfrog when every row
+    # has one key, hash otherwise), never probed pair by pair.
+    movie = Tracer()
+    run_kernel(movie_query, movie_registry, RUNNING_EXAMPLE_INPUTS, "wcoj", movie)
+    movie_kernels = {
         span.attrs.get("kernel")
-        for span in fallback.spans
+        for span in movie.spans
         if span.name == "join.probe"
-    } == {"nested_loop"}
+    }
+    assert movie_kernels and movie_kernels <= {"hash_indexed", "leapfrog"}
+
+
+def test_non_equi_join_falls_back_to_nested_loop(
+    conference_query, conference_registry
+):
+    # The conference plan with every join predicate turned into "<": no
+    # equality to index on, so under either kernel setting every join
+    # runs the nested loop.
+    best = Optimizer(conference_query, OptimizerConfig()).optimize().best
+    plan = best.plan.copy()
+    for node_id in plan.topological_order():
+        node = plan.node(node_id)
+        if isinstance(node, ParallelJoinNode):
+            strict = tuple(
+                dataclasses.replace(pred, comparator=Comparator.LT)
+                for pred in node.predicates
+            )
+            plan.nodes[node_id] = dataclasses.replace(node, predicates=strict)
+    for kernel in ("binary", "wcoj"):
+        tracer = Tracer()
+        executor = PlanExecutor(
+            plan,
+            conference_query,
+            ServicePool(conference_registry, global_seed=11),
+            dict(CONFERENCE_INPUTS),
+            best.fetch_vector(),
+            join_kernel=kernel,
+            tracer=tracer,
+            final_semantic_check=False,
+        )
+        executor.run()
+        assert {
+            span.attrs.get("kernel")
+            for span in tracer.spans
+            if span.name == "join.probe"
+        } == {"nested_loop"}
 
 
 def test_auto_resolution_is_plan_derived(movie_query):

@@ -3,11 +3,21 @@ example (experiment E01): Q1 selects {t1} and Q2 produces
 {t1.t3, t1.t4, t2.t4}."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.model.tuples import ServiceTuple
-from repro.query.ast import AttrRef, Comparator, JoinPredicate, SelectionPredicate
+from repro.errors import QueryError
+from repro.model.tuples import CompositeTuple, ServiceTuple
+from repro.query.ast import (
+    AttrRef,
+    Comparator,
+    InputRef,
+    JoinPredicate,
+    SelectionPredicate,
+)
 from repro.query.parser import parse_query
 from repro.query.predicates import (
+    compile_predicates,
     filter_tuples,
     group_occurrences,
     satisfies,
@@ -162,3 +172,128 @@ def test_running_example_opening_condition_semantics():
     )
     assert satisfies({"M": good}, selections=sels)
     assert not satisfies({"M": split}, selections=sels)
+
+
+# -- compiled predicates against the reference interpreter --------------------
+
+
+def outcome(evaluate):
+    """What one evaluation did: its answer, or the error it raised."""
+    try:
+        return ("ok", bool(evaluate()))
+    except (QueryError, KeyError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def agree(components, selections=(), joins=(), inputs=None):
+    check = compile_predicates(selections, joins, inputs)
+    compiled = outcome(lambda: check(components))
+    reference = outcome(lambda: satisfies(components, selections, joins, inputs))
+    assert compiled == reference
+    return reference
+
+
+# Small, colliding universes: ints and strings (so ordering comparisons
+# sometimes raise), LIKE metacharacters, and None.
+VALUES = st.sampled_from([0, 1, 2, "x", "y", "ab", "a_", "A%", None])
+PATTERNS = st.sampled_from(["x", "%", "_", "a%", "A_", "%b", "_%", "y"])
+GROUP_MEMBERS = st.lists(
+    st.fixed_dictionaries({"A": VALUES, "B": VALUES}), max_size=3
+)
+FLAT_REFS = ["S1.X", "S1.Y", "S2.X"]
+NESTED_REFS = ["S1.R.A", "S1.R.B", "S1.G.A", "S2.R.A", "S2.R.B"]
+REFS = st.sampled_from(FLAT_REFS + NESTED_REFS).map(AttrRef.parse)
+COMPARATORS = st.sampled_from(list(Comparator))
+
+
+@st.composite
+def service_tuples(draw, source):
+    values = {"X": draw(VALUES), "Y": draw(VALUES), "R": draw(GROUP_MEMBERS)}
+    if draw(st.booleans()):
+        values["G"] = draw(GROUP_MEMBERS)  # absent G: group_members raises
+    return ServiceTuple(values=values, source=source)
+
+
+@st.composite
+def selection_predicates(draw):
+    comparator = draw(COMPARATORS)
+    operand = draw(
+        st.one_of(
+            PATTERNS if comparator is Comparator.LIKE else VALUES,
+            st.sampled_from([InputRef("INPUT1"), InputRef("INPUT2")]),
+        )
+    )
+    return SelectionPredicate(draw(REFS), comparator, operand)
+
+
+@st.composite
+def join_predicates(draw):
+    left, right = draw(st.lists(REFS, min_size=2, max_size=2, unique=True))
+    return JoinPredicate(left, draw(COMPARATORS), right)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    s1=service_tuples("S1"),
+    s2=st.one_of(st.none(), service_tuples("S2")),
+    sels=st.lists(selection_predicates(), max_size=3),
+    jns=st.lists(join_predicates(), max_size=2),
+    inputs=st.fixed_dictionaries(
+        {}, optional={"INPUT1": VALUES, "INPUT2": PATTERNS}
+    ),
+    as_composite=st.booleans(),
+)
+def test_compiled_predicates_match_satisfies(s1, s2, sels, jns, inputs, as_composite):
+    components = {"S1": s1} if s2 is None else {"S1": s1, "S2": s2}
+    if as_composite:
+        components = CompositeTuple(components, 0.5)
+    agree(components, sels, jns, inputs)
+
+
+class TestCompiledPredicates:
+    def test_chapter_counter_example(self):
+        # t2 satisfies each conjunct of Q1 through a different member.
+        assert agree({"S1": T1}, Q1_SELECTIONS) == ("ok", True)
+        assert agree({"S1": T2}, Q1_SELECTIONS) == ("ok", False)
+        assert agree({"S1": T2, "S2": T3}, joins=Q2_JOINS) == ("ok", False)
+        assert agree({"S1": T1, "S2": T4}, joins=Q2_JOINS) == ("ok", True)
+
+    def test_selection_and_join_share_a_witness(self):
+        s1 = rg_tuple("S1", (1, "x"), (2, "y"))
+        s2 = rg_tuple("S2", (2, "x"))
+        join = (
+            JoinPredicate(
+                AttrRef.parse("S1.R.A"), Comparator.EQ, AttrRef.parse("S2.R.A")
+            ),
+        )
+        for b, expected in (("y", True), ("x", False)):
+            sel = (
+                SelectionPredicate(AttrRef.parse("S1.R.B"), Comparator.EQ, b),
+            )
+            assert agree({"S1": s1, "S2": s2}, sel, join) == ("ok", expected)
+
+    def test_missing_input_raises_only_when_reached(self):
+        pred = SelectionPredicate(
+            AttrRef.parse("S1.R.A"), Comparator.EQ, InputRef("INPUT9")
+        )
+        check = compile_predicates((pred,))  # compiling never raises
+        with pytest.raises(QueryError, match="INPUT9"):
+            check({"S1": T1})
+        # An empty group answers False before the predicate is reached.
+        empty = ServiceTuple(values={"R": ()}, source="S1")
+        assert agree({"S1": empty}, (pred,)) == ("ok", False)
+        # So does an earlier conjunct that fails on every member.
+        first = SelectionPredicate(AttrRef.parse("S1.R.A"), Comparator.EQ, 7)
+        assert agree({"S1": T1}, (first, pred)) == ("ok", False)
+
+    def test_like_patterns(self):
+        tup = ServiceTuple(values={"X": "Abc_d", "R": ()}, source="S")
+        for pattern, expected in (
+            ("a%", True),
+            ("_bc_d", True),
+            ("abc", False),
+            ("%c__", True),
+            ("ABC_D", True),
+        ):
+            sel = (SelectionPredicate(AttrRef.parse("S.X"), Comparator.LIKE, pattern),)
+            assert agree({"S": tup}, sel) == ("ok", expected)

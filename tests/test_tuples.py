@@ -1,10 +1,21 @@
 """Unit tests for tuples, composites, and the global ranking function."""
 
+from collections import OrderedDict
+from collections.abc import Mapping
+from types import MappingProxyType
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import QueryError, SchemaError
 from repro.model.attributes import AttributePath
-from repro.model.tuples import CompositeTuple, RankingFunction, ServiceTuple
+from repro.model.tuples import (
+    CompositeTuple,
+    RankingFunction,
+    ServiceTuple,
+    freeze_value,
+)
 
 
 def make_tuple(**values):
@@ -113,3 +124,64 @@ class TestRankingFunction:
         rf = RankingFunction({"A": 5.0, "B": 7.0})
         score = rf.score({"A": 1.0, "B": 1.0})
         assert score <= 1.0 + 1e-9
+
+
+def abc_freeze(value):
+    """``freeze_value`` as it was: ABC checks only, Mapping first."""
+    if isinstance(value, Mapping):
+        return tuple(sorted((k, abc_freeze(v)) for k, v in value.items()))
+    if isinstance(value, (list, tuple, set)):
+        return tuple(abc_freeze(v) for v in value)
+    return value
+
+
+class Label(str):
+    """A str subclass: takes the fallback path, unchanged."""
+
+
+ATOMS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=False, width=16),
+    st.text(max_size=3),
+    st.text(max_size=3).map(Label),
+)
+
+
+def wrapped_mappings(children):
+    items = st.dictionaries(st.text(max_size=2), children, max_size=3)
+    return st.one_of(
+        items,
+        items.map(OrderedDict),
+        items.map(MappingProxyType),
+    )
+
+
+FREEZABLE = st.recursive(
+    ATOMS,
+    lambda children: st.one_of(
+        wrapped_mappings(children),
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.sets(ATOMS, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FREEZABLE)
+def test_freeze_value_matches_abc_only_path(value):
+    frozen = freeze_value(value)
+    assert frozen == abc_freeze(value)
+    assert type(frozen) is type(abc_freeze(value))
+
+
+def test_freeze_value_concrete_and_abc_mappings_agree():
+    members = [{"b": 2, "a": [1, (2, {3})]}, OrderedDict(z=None)]
+    expected = abc_freeze(members)
+    assert freeze_value(members) == expected
+    assert freeze_value(tuple(members)) == expected
+    assert freeze_value([MappingProxyType(m) for m in members]) == expected
+    assert freeze_value({3, 1}) == abc_freeze({3, 1})
