@@ -74,6 +74,29 @@ class ServiceTuple:
         frozen = {key: freeze_value(val) for key, val in dict(self.values).items()}
         object.__setattr__(self, "values", frozen)
 
+    @classmethod
+    def from_frozen(
+        cls, values: dict[str, Any], score: float, source: str, position: int
+    ) -> "ServiceTuple":
+        """Build from a fresh ``values`` dict already in frozen form.
+
+        The trusted constructor for generated data: every value must
+        already equal its :func:`freeze_value`, and the dict is adopted,
+        not copied.  The score-range check still applies.
+        """
+        if not 0.0 <= score <= 1.0 + 1e-9:
+            raise SchemaError(f"score {score} outside [0, 1]")
+        tup = object.__new__(cls)
+        # Frozen dataclass: set fields as the generated __init__ does.
+        # (Writing through ``tup.__dict__`` would be quicker, but it
+        # materialises a per-instance dict and costs ~130 bytes a tuple.)
+        setattr_ = object.__setattr__
+        setattr_(tup, "values", values)
+        setattr_(tup, "score", score)
+        setattr_(tup, "source", source)
+        setattr_(tup, "position", position)
+        return tup
+
     def value_at(self, path: AttributePath) -> Any:
         """Value addressed by ``path``.
 
@@ -168,7 +191,11 @@ class RankingFunction:
         )
 
     def score_composite(self, components: Mapping[str, ServiceTuple]) -> float:
-        return self.score({alias: t.score for alias, t in components.items()})
+        """:meth:`score` over the components' scores, in component order."""
+        weights = self.weights
+        return sum(
+            [weights.get(alias, 0.0) * t.score for alias, t in components.items()]
+        )
 
     def combine(self, components: Mapping[str, ServiceTuple]) -> CompositeTuple:
         """Build a scored :class:`CompositeTuple` from components."""

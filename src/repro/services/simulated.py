@@ -6,7 +6,9 @@ Invoking it yields a :class:`SimulatedInvocation`, which is a
 :class:`~repro.joins.methods.ChunkSource`: each ``next_chunk()`` models one
 request-response round trip — it advances the virtual clock by a latency
 draw, appends a :class:`~repro.engine.events.CallRecord` to the call log,
-and returns the next chunk of the ranked result list.
+and returns the next chunk of the ranked result list.  The list is a lazy
+page: tuples are generated as chunks ask for them, so a client pays (in
+CPU as in round trips) only for the chunks it fetches.
 
 A :class:`ServicePool` manages one simulated service per registered
 interface, sharing a clock, log, and global seed — this is the "execution
@@ -26,7 +28,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from itertools import islice
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.query.ast import SelectionPredicate
@@ -159,10 +162,16 @@ class FaultModel:
 
 @dataclass
 class SimulatedInvocation(ChunkSource):
-    """One in-flight invocation: a chunk source over generated results."""
+    """One in-flight invocation: a chunk source over a lazy result page.
+
+    ``page`` yields the invocation's ranked result list; tuples move into
+    a buffer only as far as the chunks requested so far reach.  Because
+    the generator's RNG belongs to this invocation alone, how far (and
+    when) the page is pulled never changes which tuples it holds.
+    """
 
     interface: ServiceInterface
-    results: list[ServiceTuple]
+    page: Iterator[ServiceTuple] | None
     alias: str
     clock: VirtualClock
     log: CallLog
@@ -173,6 +182,7 @@ class SimulatedInvocation(ChunkSource):
     call_timeout: float | None = None
     chunk_size: int = field(init=False)
     scoring: ScoringFunction = field(init=False)
+    _buffer: list[ServiceTuple] = field(default_factory=list)
     _cursor: int = 0
     _calls: int = 0
     _attempt: int = 1
@@ -181,6 +191,22 @@ class SimulatedInvocation(ChunkSource):
     def __post_init__(self) -> None:
         self.chunk_size = self.interface.chunk_size
         self.scoring = self.interface.scoring
+
+    def _pull(self, upto: int | None) -> None:
+        """Generate into the buffer up to ``upto`` tuples (all when None)."""
+        page = self.page
+        if page is None:
+            return
+        buffer = self._buffer
+        if upto is None:
+            buffer.extend(page)
+            self.page = None
+            return
+        wanted = upto - len(buffer)
+        if wanted > 0:
+            buffer.extend(islice(page, wanted))
+            if len(buffer) < upto:
+                self.page = None  # the page ran dry
 
     def next_chunk(self) -> list[ServiceTuple] | None:
         """One request-response: advance time, log the call, return a chunk.
@@ -212,7 +238,9 @@ class SimulatedInvocation(ChunkSource):
             )
         slow = bool(profile.timeout_rate) and self._fault_draw() < profile.timeout_rate
 
-        if self._cursor >= len(self.results):
+        end = self._cursor + self.chunk_size if self.interface.is_chunked else None
+        self._pull(end)
+        if self._cursor >= len(self._buffer):
             if not self._terminal_recorded:
                 if self._calls == 0:
                     # An empty first response still costs one round trip.
@@ -224,13 +252,10 @@ class SimulatedInvocation(ChunkSource):
                 self._terminal_recorded = True
             return None
 
-        if self.interface.is_chunked:
-            chunk = self.results[self._cursor : self._cursor + self.chunk_size]
-        else:
-            chunk = self.results[self._cursor :]
+        chunk = self._buffer[self._cursor : end]
         self._record(len(chunk), slow=slow)
         self._cursor += len(chunk)
-        return list(chunk)
+        return chunk
 
     def _fault_draw(self) -> float:
         rng = self.fault_rng
@@ -293,7 +318,14 @@ class SimulatedInvocation(ChunkSource):
         return self._calls
 
     @property
+    def results(self) -> list[ServiceTuple]:
+        """The whole ranked result list (generates the rest of the page)."""
+        self._pull(None)
+        return self._buffer
+
+    @property
     def remaining(self) -> int:
+        """Tuples not yet delivered (generates the rest of the page)."""
         return max(0, len(self.results) - self._cursor)
 
 
@@ -333,18 +365,18 @@ class SimulatedService:
         function of the bindings.  ``call_timeout`` bounds each round
         trip's virtual duration (see :class:`FaultProfile`).  Raises
         :class:`~repro.errors.ServiceInvocationError` when a declared input
-        path is missing from ``inputs``.
+        path is missing from ``inputs`` — here, not at the first chunk,
+        although tuples are generated only as chunks are fetched.
         """
+        page: Iterator[ServiceTuple] | None = None
         if availability < 1.0:
             gate = random.Random(
                 derive_seed(self.global_seed ^ 0xA7A11, self.interface.name, inputs)
             )
-            if gate.random() >= availability:
-                results: list[ServiceTuple] = []
-            else:
-                results = self.generator.generate(inputs, constraints=constraints)
+            if gate.random() < availability:
+                page = self.generator.iter_results(inputs, constraints=constraints)
         else:
-            results = self.generator.generate(inputs, constraints=constraints)
+            page = self.generator.iter_results(inputs, constraints=constraints)
         rng = random.Random(
             derive_seed(self.global_seed ^ 0x5EC0, self.interface.name, inputs)
         )
@@ -357,7 +389,7 @@ class SimulatedService:
         )
         return SimulatedInvocation(
             interface=self.interface,
-            results=results,
+            page=page,
             alias=alias or self.interface.name,
             clock=clock,
             log=log,

@@ -231,14 +231,18 @@ def test_connection_pool_bounds_concurrency(movie_query, movie_registry):
             self.inner = inner
             self.name = name
 
-        async def __aenter__(self):
-            await self.inner.__aenter__()
+        def locked(self) -> bool:
+            return self.inner.locked()
+
+        async def acquire(self):
+            await self.inner.acquire()
             active[self.name] += 1
             peak[self.name] = max(peak[self.name], active[self.name])
+            return True
 
-        async def __aexit__(self, *exc):
+        def release(self) -> None:
             active[self.name] -= 1
-            return await self.inner.__aexit__(*exc)
+            self.inner.release()
 
     context.semaphore = lambda name: Probe(real_semaphore(context, name), name)
 

@@ -125,6 +125,34 @@ class TestRankingFunction:
         score = rf.score({"A": 1.0, "B": 1.0})
         assert score <= 1.0 + 1e-9
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weights=st.dictionaries(
+            st.sampled_from("ABCDEFG"),
+            st.floats(0.0, 1e6, allow_nan=False) | st.integers(0, 50),
+            max_size=6,
+        ),
+        scores=st.lists(
+            st.tuples(st.sampled_from("ABCDEFGH"), st.floats(0.0, 1.0)),
+            max_size=8,
+            unique_by=lambda pair: pair[0],
+        ),
+        normalise=st.booleans(),
+    )
+    def test_score_composite_is_bitwise_score(self, weights, scores, normalise):
+        # Component order, aliases without a weight, and (un)normalised
+        # weights: the direct sum must equal score() to the last bit.
+        rf = RankingFunction(weights, normalise=normalise)
+        components = {
+            alias: ServiceTuple({}, score=score, source=alias)
+            for alias, score in scores
+        }
+        direct = rf.score_composite(components)
+        via_score = rf.score({alias: t.score for alias, t in components.items()})
+        assert type(direct) is type(via_score)
+        assert float(direct).hex() == float(via_score).hex()
+        assert rf.combine(components).score == direct
+
 
 def abc_freeze(value):
     """``freeze_value`` as it was: ABC checks only, Mapping first."""
